@@ -8,18 +8,33 @@
 //! worker batch/inflight/candidate scratches are pre-sized, stat shards
 //! and histograms are wait-free fixed arrays, and `ExactMatcher`'s
 //! no-match verdict never touches the heap.
+//!
+//! The counting allocator is process-global, so each test holds
+//! [`MEASURE`] for its broker's whole lifetime, start to teardown: a
+//! sibling test's broker start-up or shutdown can never allocate inside
+//! another test's counting window under the parallel test runner.
 
 #[path = "../src/counting_alloc.rs"]
 mod counting_alloc;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 use tep::prelude::*;
 
 const FLUSH: Duration = Duration::from_secs(60);
 
+/// Serializes every broker lifetime in this binary (see the module docs).
+static MEASURE: Mutex<()> = Mutex::new(());
+
+/// Takes [`MEASURE`]; a sibling's failed assertion poisons the lock but
+/// leaves nothing to protect, so poisoning is ignored.
+fn measure() -> MutexGuard<'static, ()> {
+    MEASURE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn exact_no_match_steady_state_allocates_nothing() {
+    let _measure = measure();
     let broker = Broker::start(
         Arc::new(ExactMatcher::new()),
         BrokerConfig::default().with_workers(1),
@@ -58,7 +73,9 @@ fn exact_no_match_steady_state_allocates_nothing() {
         "steady-state exact no-match path performed {allocated} heap allocations \
          over 2048 events; the hot path must be allocation-free"
     );
-    broker.close();
+    // Join the workers while still holding the lock: their teardown
+    // must not land in the sibling test's window.
+    broker.shutdown();
 }
 
 #[test]
@@ -68,6 +85,7 @@ fn theme_routed_steady_state_allocates_nothing() {
     // path. The subscription index serves candidates from the worker's
     // reusable scratch, so the routed path must now hold the same
     // zero-allocation guarantee as the broadcast path above.
+    let _measure = measure();
     let broker = Broker::start(
         Arc::new(ExactMatcher::new()),
         BrokerConfig::default()
@@ -133,5 +151,7 @@ fn theme_routed_steady_state_allocates_nothing() {
          allocations over 2048 events; candidate collection must reuse the \
          worker scratch"
     );
-    broker.close();
+    // Join the workers while still holding the lock: their teardown
+    // must not land in the sibling test's window.
+    broker.shutdown();
 }

@@ -5,7 +5,7 @@ use crate::explain::MatchExplanation;
 use crate::notification::Notification;
 use crate::overload::{BreakerState, LoadState, OverloadController};
 use crate::quality::{QualityOracle, QualityReport, QualityState};
-use crate::stats::{BrokerStats, EventTrace, StageLatencies, StatsInner};
+use crate::stats::{BrokerStats, StageLatencies, StatsInner};
 use crate::subindex::SubscriptionIndex;
 use crate::supervisor::{supervisor_loop, DeadLetter, DeadLetterQueue, Job};
 use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender, TrySendError};
@@ -85,10 +85,6 @@ pub(crate) struct Registration {
     /// Consecutive full-channel drops, for
     /// [`crate::SubscriberPolicy::DisconnectAfter`].
     pub(crate) consecutive_full: AtomicU64,
-    /// Whether any predicate carries the `~` approximation — precomputed
-    /// at subscribe time so the match-latency instrumentation classifies
-    /// each test without walking the predicates again.
-    pub(crate) approx: bool,
     /// Whether this subscriber opted into per-notification explanations
     /// ([`SubscribeOptions::explain`]).
     pub(crate) explain: bool,
@@ -200,11 +196,8 @@ pub(crate) struct Shared {
     pub(crate) ingress: Sender<Job>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) dead_letters: DeadLetterQueue,
-    /// Bounded per-event pipeline traces; capacity 0 (the default)
-    /// disables tracing.
-    pub(crate) trace: TraceRing<EventTrace>,
-    /// Bounded per-match-test explanations; capacity 0 (the default)
-    /// disables the ring.
+    /// Bounded per-pair explanations, one per tested (event, candidate
+    /// subscriber) pair; capacity 0 (the default) disables the ring.
     pub(crate) explain: TraceRing<MatchExplanation>,
     /// Sampled causal spans; disabled unless
     /// [`BrokerConfig::span_sample_every`] is non-zero.
@@ -698,7 +691,8 @@ pub struct Broker {
     shared: Arc<Shared>,
     supervisor: Option<JoinHandle<()>>,
     next_id: AtomicU64,
-    /// Publish-order sequence numbers for [`EventTrace::seq`].
+    /// Publish-order sequence numbers: the key of an event's
+    /// explanations, span tree, and sampling decisions.
     next_seq: AtomicU64,
 }
 
@@ -741,7 +735,6 @@ impl Broker {
             hooks,
             stats: Arc::new(StatsInner::new(worker_count)),
             dead_letters: DeadLetterQueue::new(config.dead_letter_capacity),
-            trace: TraceRing::new(config.trace_capacity),
             explain: TraceRing::new(config.explain_capacity),
             spans: SpanCollector::new(config.span_capacity, config.span_sample_every),
             dim: config
@@ -838,10 +831,6 @@ impl Broker {
             self.shared.config.subscriber_policy,
             crate::config::SubscriberPolicy::DropOldest
         );
-        let approx = subscription
-            .predicates()
-            .iter()
-            .any(|p| p.is_attribute_approx() || p.is_value_approx());
         // Warm the matcher's caches (and pin the subscription's
         // projections) before the subscription can receive traffic.
         (self.shared.hooks.prepare)(&subscription);
@@ -857,7 +846,6 @@ impl Broker {
             sender: tx,
             receiver: keep_receiver.then(|| rx.clone()),
             consecutive_full: AtomicU64::new(0),
-            approx,
             explain: options.explain,
             notif_counter,
             breaker: self
@@ -928,7 +916,7 @@ impl Broker {
 
     /// Publishes an already-shared event without copying it: the broker
     /// takes a reference to the caller's `Arc<Event>`, and that same
-    /// allocation flows through matching, notifications, traces, and the
+    /// allocation flows through matching, notifications, spans, and the
     /// dead-letter queue. This is the zero-copy fast path for callers
     /// that publish one event to several brokers, retain it after
     /// publishing, or pre-build their event set (benchmarks).
@@ -1076,12 +1064,6 @@ impl Broker {
         self.shared.stats.stage_snapshot()
     }
 
-    /// The last [`BrokerConfig::trace_capacity`] per-event pipeline
-    /// traces, oldest first. Empty unless tracing was enabled.
-    pub fn traces(&self) -> Vec<EventTrace> {
-        self.shared.trace.snapshot()
-    }
-
     /// The newest `n` match explanations, oldest first. Empty unless
     /// [`BrokerConfig::explain_capacity`] is non-zero.
     pub fn explain_last(&self, n: usize) -> Vec<MatchExplanation> {
@@ -1106,8 +1088,8 @@ impl Broker {
     }
 
     /// Installs the shadow quality evaluator: deterministically samples
-    /// one in `every` subscription × event match tests, replays each
-    /// sampled pair against `oracle`, and maintains rolling
+    /// one in `every` tested (event, candidate subscriber) pairs, replays
+    /// each sampled pair against `oracle`, and maintains rolling
     /// precision/recall/F1 with confidence bounds and drift alerts
     /// (read with [`Broker::quality`]).
     ///

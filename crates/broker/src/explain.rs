@@ -1,13 +1,16 @@
-//! Match explainability: why each subscription × event test was accepted
-//! or rejected, with the semantic evidence behind the decision.
+//! Match explainability: why each tested (event, candidate subscriber)
+//! pair was accepted or rejected, with the semantic evidence behind the
+//! decision.
 //!
 //! When [`crate::BrokerConfig::explain_capacity`] is non-zero the broker
 //! keeps the newest explanations in a bounded ring
 //! ([`crate::Broker::explain_last`]); individual subscribers can also opt
 //! in per subscription ([`crate::SubscribeOptions::explain`]) to have the
 //! explanation attached to each delivered [`crate::Notification`].
-//! Explanations are computed *after* the match test from its result — the
-//! matcher is never re-run and an unexplained broker pays only a branch.
+//! Explanations are computed *after* the match test from its result, in
+//! each subscriber's own predicate order — the matcher is never re-run,
+//! so duplicate subscribers sharing one index entry share one test, and
+//! an unexplained broker pays only a branch.
 
 use crate::broker::SubscriptionId;
 use std::fmt::Write as _;
@@ -84,10 +87,10 @@ impl MatchOutcome {
     }
 }
 
-/// One subscription × event match test, explained: the score against the
-/// threshold, the themes both sides projected under, how the semantic
-/// caches served the test, and (when the matcher exposes it) per-predicate
-/// distances and projection dimensionalities.
+/// One tested (event, candidate subscriber) pair, explained: the score
+/// against the threshold, the themes both sides projected under, how the
+/// semantic caches served the test, and (when the matcher exposes it)
+/// per-predicate distances and projection dimensionalities.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatchExplanation {
     /// Publish-order sequence number of the event.

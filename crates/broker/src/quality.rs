@@ -120,7 +120,8 @@ impl QualityState {
         }
     }
 
-    /// Deterministic 1-in-`every` sampling decision for one match test.
+    /// Deterministic 1-in-`every` sampling decision for one tested
+    /// (event, subscriber) pair.
     pub(crate) fn should_sample(&self, seq: u64, subscription: u64) -> bool {
         mix(seq, subscription).is_multiple_of(self.every)
     }

@@ -22,8 +22,9 @@ use crate::broker::{CostState, Registration, Shared, SubscriptionId};
 use crate::config::{RoutingPolicy, SubscriberPolicy};
 use crate::explain::{CacheTemperature, MatchExplanation, MatchOutcome};
 use crate::notification::Notification;
-use crate::stats::{nanos_between, EventTrace, WorkerShard};
-use crate::subindex::{DispatchScratch, IndexEntry};
+use crate::quality::QualityState;
+use crate::stats::{nanos_between, WorkerShard};
+use crate::subindex::{DispatchScratch, FanoutMember, IndexEntry};
 use crossbeam::channel::{Receiver, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -45,7 +46,7 @@ pub(crate) struct Job {
     pub(crate) event: Arc<Event>,
     pub(crate) attempts: u32,
     /// Publish-order sequence number, stable across retries; keys the
-    /// event's [`EventTrace`].
+    /// event's explanations, span tree, and sampling decisions.
     pub(crate) seq: u64,
     /// When this job entered (or re-entered) the ingress queue; the
     /// queue-wait histogram measures from here to the worker's dequeue.
@@ -392,31 +393,6 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Assembles one [`MatchExplanation`] from the test's context.
-#[allow(clippy::too_many_arguments)]
-fn explanation_for(
-    shared: &Shared,
-    job: &Job,
-    id: SubscriptionId,
-    reg: &Registration,
-    score: f64,
-    temperature: CacheTemperature,
-    outcome: MatchOutcome,
-    detail: Option<tep_matcher::MatchDetail>,
-) -> MatchExplanation {
-    MatchExplanation {
-        seq: job.seq,
-        subscription: id,
-        score,
-        threshold: shared.config.delivery_threshold,
-        subscription_themes: reg.subscription.theme_tags().to_vec(),
-        event_themes: job.event.theme_tags().to_vec(),
-        temperature,
-        outcome,
-        detail,
-    }
-}
-
 /// One instrumented match test: panic isolation with the per-event
 /// attempt budget, per-attempt `match_tests` accounting, and
 /// cache-temperature classification by sampling the matcher's miss
@@ -518,20 +494,175 @@ where
     }
 }
 
+/// The per-event state an entry sweep shares with its fan-out.
+struct Sweep<'a, M: ?Sized> {
+    shared: &'a Shared,
+    matcher: &'a M,
+    shard: &'a WorkerShard,
+    job: &'a Job,
+    /// The explain ring is on: every tested pair leaves an explanation.
+    explain_ring: bool,
+    /// The shadow quality evaluator, when an oracle is installed.
+    quality: Option<&'a QualityState>,
+    /// Subscribers found gone during delivery, reaped after the sweep.
+    dead: Vec<SubscriptionId>,
+}
+
+impl<M: Matcher + ?Sized> Sweep<'_, M> {
+    /// Assembles one member's [`MatchExplanation`] for this event.
+    fn explanation(
+        &self,
+        member: &FanoutMember,
+        score: f64,
+        temperature: CacheTemperature,
+        outcome: MatchOutcome,
+        detail: Option<tep_matcher::MatchDetail>,
+    ) -> MatchExplanation {
+        MatchExplanation {
+            seq: self.job.seq,
+            subscription: member.id,
+            score,
+            threshold: self.shared.config.delivery_threshold,
+            subscription_themes: member.reg.subscription.theme_tags().to_vec(),
+            event_themes: self.job.event.theme_tags().to_vec(),
+            temperature,
+            outcome,
+            detail,
+        }
+    }
+
+    /// Fans one entry's result out to its subscribers. Per member, in
+    /// order: the result in the member's predicate order, the quality
+    /// sample, the explanations, the delivery, its stage clock (measured
+    /// from `start`), and the cost charge (`cost` carries the entry's
+    /// match nanoseconds, split evenly across the fan-out). A result
+    /// that does not deliver walks the fan-out only for the explain ring
+    /// or the quality sampler. Returns the sampled deliver nanoseconds.
+    fn fan_out(
+        &mut self,
+        entry: &IndexEntry,
+        result: &MatchResult,
+        temperature: CacheTemperature,
+        start: Instant,
+        match_span: Option<u64>,
+        cost: Option<(&CostState, u64)>,
+    ) -> u64 {
+        let (shared, job) = (self.shared, self.job);
+        let score = result.score();
+        let mapped = !result.is_empty();
+        let delivering = mapped && result.is_match(shared.config.delivery_threshold);
+        if !delivering && !self.explain_ring && self.quality.is_none() {
+            return 0;
+        }
+        let mut cost_deliver_ns = 0u64;
+        let fan = entry.fanout();
+        for member in fan.iter() {
+            let result = member.result_for(result);
+            // Shadow quality sampling: unsampled pairs add a hash and a
+            // modulo. The broker's decision (`delivering`) is judged
+            // against ground truth off the delivery path's critical data.
+            if let Some(quality) = self
+                .quality
+                .filter(|q| q.should_sample(job.seq, member.id.0))
+            {
+                let cache = self.matcher.cache_stats();
+                let lookups = cache.hits + cache.misses;
+                let hit_rate = if lookups == 0 {
+                    0.0
+                } else {
+                    cache.hits as f64 / lookups as f64
+                };
+                quality.record(
+                    &member.reg.subscription,
+                    &job.event,
+                    delivering,
+                    score,
+                    hit_rate,
+                );
+            }
+            // Explanations are computed once per pair, in the member's
+            // own predicate order, and only when someone will read them.
+            let detail = (self.explain_ring || (member.reg.explain && delivering)).then(|| {
+                self.matcher
+                    .explain_match(&member.reg.subscription, &job.event, &result)
+            });
+            if !delivering {
+                if self.explain_ring {
+                    let outcome = if mapped {
+                        MatchOutcome::BelowThreshold
+                    } else {
+                        MatchOutcome::NoMapping
+                    };
+                    let e = self.explanation(member, score, temperature, outcome, detail);
+                    shared.explain.push(e);
+                }
+                continue;
+            }
+            let attached = member.reg.explain.then(|| {
+                let outcome = MatchOutcome::Delivered;
+                Box::new(self.explanation(member, score, temperature, outcome, detail.clone()))
+            });
+            let notification = Notification {
+                subscription: member.id,
+                event: Arc::clone(&job.event),
+                result,
+                explanation: attached,
+            };
+            // Stage 3 (deliver): match decision → channel hand-off.
+            let admitted = deliver(
+                shared,
+                self.shard,
+                member.id,
+                &member.reg,
+                notification,
+                &mut self.dead,
+            );
+            let deliver_end = Instant::now();
+            let deliver_ns = nanos_between(start, deliver_end);
+            self.shard.stage.deliver.record_nanos(deliver_ns);
+            if let Some(parent) = match_span {
+                shared.spans.record_new(
+                    Some(parent),
+                    job.seq,
+                    "deliver",
+                    start,
+                    deliver_end,
+                    vec![("admitted".to_string(), admitted.to_string())],
+                );
+            }
+            if self.explain_ring {
+                let outcome = if admitted {
+                    MatchOutcome::Delivered
+                } else {
+                    MatchOutcome::DeliveryDropped
+                };
+                let e = self.explanation(member, score, temperature, outcome, detail);
+                shared.explain.push(e);
+            }
+            if let Some((cost, match_ns)) = cost {
+                cost_deliver_ns += deliver_ns;
+                cost.charge_subscriber(member.id.0, match_ns / fan.len() as u64, deliver_ns);
+            }
+        }
+        cost_deliver_ns
+    }
+}
+
 /// Matches one event against its candidate **index entries** and fans
 /// delivery out to each entry's subscriber list, honoring the routing
 /// policy, panic isolation, covering, and the subscriber overload
 /// policy. Increments `processed` exactly once.
 ///
-/// Dispatch is entry-based: the subscription index hash-consed duplicate
-/// subscriptions onto shared entries, so one match test against an
-/// entry's representative serves its whole fan-out (match cost scales
-/// with distinct subscriptions). With a covering-safe matcher the sweep
-/// additionally prunes superset entries on a miss and short-circuits
-/// equal-set twins on a hit (`covered_skips`). Diagnostic modes — the
-/// explain ring and shadow quality sampling — need one test per
-/// subscriber × event pair, so they fall back to per-member testing and
-/// disable covering.
+/// There is one sweep: the subscription index hash-consed duplicate
+/// subscriptions onto shared entries, and the matcher decides each
+/// (subscription, event) pair independently, so one match test against
+/// an entry's representative serves its whole fan-out (match cost scales
+/// with distinct subscriptions). The explain ring and the quality
+/// sampler still see one explanation or sample per tested (event,
+/// candidate subscriber) pair, from the fan-out. With a covering-safe
+/// matcher and neither of them installed, the sweep also prunes superset
+/// entries on a miss and short-circuits equal-set twins on a hit
+/// (`covered_skips`).
 ///
 /// Counters and stage timers go to the calling worker's `shard`;
 /// `scratch` is the worker's reusable candidate snapshot + covering
@@ -591,16 +722,6 @@ fn process_event<M>(
                     )],
                 );
             }
-            if shared.trace.is_enabled() {
-                shared.trace.push(EventTrace {
-                    seq: job.seq,
-                    candidates: 0,
-                    routing_skipped: 0,
-                    match_tests: 0,
-                    notifications: 0,
-                    quarantined: false,
-                });
-            }
             return;
         }
         degraded = overload.degraded_mode();
@@ -626,17 +747,14 @@ fn process_event<M>(
     // Skip accounting stays in *subscriber* units (as before the index):
     // every subscriber behind a non-candidate entry was skipped without a
     // match test.
-    let trace_skipped = if all_entries {
-        0usize
+    let skipped = if all_entries {
+        0
     } else {
-        total_subs.saturating_sub(candidate_subs) as usize
+        total_subs.saturating_sub(candidate_subs)
     };
-    if trace_skipped > 0 {
-        shard
-            .routing_skipped
-            .fetch_add(trace_skipped as u64, Ordering::Relaxed);
+    if skipped > 0 {
+        shard.routing_skipped.fetch_add(skipped, Ordering::Relaxed);
     }
-    let trace_candidates = candidate_subs as usize;
     // The route span covers dequeue → candidate snapshot and parents
     // every match test of the event; `None` for unsampled events keeps
     // the hot path to a branch per stage.
@@ -648,22 +766,25 @@ fn process_event<M>(
             dequeued,
             Instant::now(),
             vec![
-                ("candidates".to_string(), trace_candidates.to_string()),
-                ("routing_skipped".to_string(), trace_skipped.to_string()),
+                ("candidates".to_string(), candidate_subs.to_string()),
+                ("routing_skipped".to_string(), skipped.to_string()),
             ],
         )
     });
-    let explain_ring = shared.explain.is_enabled();
-    // Diagnostic modes need one test (and one explanation or quality
-    // sample) per subscriber × event pair, exactly like pre-index
-    // dispatch — aggregation's one-test-per-entry shortcut would starve
-    // them — so they force per-member sweeps. Covering additionally
-    // requires the matcher to declare conjunctive semantics.
-    let per_member = explain_ring || shared.quality.get().is_some();
-    let covering = !per_member && matcher.covering_safe();
-    let mut trace_match_tests = 0usize;
-    let mut trace_notifications = 0usize;
-    let mut dead: Vec<SubscriptionId> = Vec::new();
+    let mut sweep = Sweep {
+        shared,
+        matcher,
+        shard,
+        job: &job,
+        explain_ring: shared.explain.is_enabled(),
+        quality: shared.quality.get().map(Arc::as_ref),
+        dead: Vec::new(),
+    };
+    // Covering skips tests, so it is off while the explain ring or the
+    // quality sampler needs every candidate pair; it also requires the
+    // matcher to declare conjunctive semantics.
+    let covering = matcher.covering_safe() && !sweep.explain_ring && sweep.quality.is_none();
+    let mut match_tests = 0usize;
     let mut exhausted_attempts = 0u32;
     // Per-temperature test counts, flushed into the labeled families in
     // one pass at the end of the event (a branch and three adds per
@@ -685,199 +806,6 @@ fn process_event<M>(
             .cost
             .as_ref()
             .filter(|c| c.should_sample(job.seq, entry.uid()));
-        let mut cost_match_ns = 0u64;
-        let mut cost_deliver_ns = 0u64;
-        if per_member {
-            // Per-pair sweep: every fan-out member is tested against its
-            // own subscription, preserving the one-explanation-per-test
-            // and per-pair quality-sampling invariants.
-            let fan = entry.fanout();
-            for member in fan.iter() {
-                let id = member.id;
-                let reg = &member.reg;
-                let run = run_match_test(
-                    shared,
-                    matcher,
-                    shard,
-                    &reg.subscription,
-                    reg.approx,
-                    &job,
-                    degraded,
-                );
-                trace_match_tests += run.tests_run;
-                match run.temperature {
-                    CacheTemperature::Exact => temp_exact += 1,
-                    CacheTemperature::ThematicCold => temp_thematic += 1,
-                    CacheTemperature::CacheWarm => temp_cached += 1,
-                }
-                if cost.is_some() {
-                    // The same span the stage histogram records, so k=1
-                    // attribution reconciles exactly.
-                    cost_match_ns += nanos_between(run.match_start, run.match_end);
-                }
-                let Some(result) = run.outcome else {
-                    exhausted_attempts = exhausted_attempts.max(run.exhausted);
-                    if let Some(route) = route_span {
-                        shared.spans.record_new(
-                            Some(route),
-                            job.seq,
-                            "match",
-                            run.match_start,
-                            run.match_end,
-                            vec![
-                                ("subscription".to_string(), id.to_string()),
-                                (
-                                    "temperature".to_string(),
-                                    run.temperature.as_str().to_string(),
-                                ),
-                                ("outcome".to_string(), "panicked".to_string()),
-                            ],
-                        );
-                    }
-                    if explain_ring {
-                        let reason = run
-                            .last_panic
-                            .unwrap_or_else(|| "unknown panic".to_string());
-                        shared.explain.push(explanation_for(
-                            shared,
-                            &job,
-                            id,
-                            reg,
-                            0.0,
-                            run.temperature,
-                            MatchOutcome::Panicked { reason },
-                            None,
-                        ));
-                    }
-                    continue;
-                };
-                let score = result.score();
-                let mapped = !result.is_empty();
-                let delivering = mapped && result.is_match(shared.config.delivery_threshold);
-                // Shadow quality sampling: with no oracle installed this
-                // is one `OnceLock` load; with one, unsampled tests add a
-                // hash and a modulo. The broker's decision (`delivering`)
-                // is judged against ground truth off the delivery path's
-                // critical data.
-                if let Some(quality) = shared.quality.get() {
-                    if quality.should_sample(job.seq, id.0) {
-                        let cache = matcher.cache_stats();
-                        let lookups = cache.hits + cache.misses;
-                        let hit_rate = if lookups == 0 {
-                            0.0
-                        } else {
-                            cache.hits as f64 / lookups as f64
-                        };
-                        quality.record(&reg.subscription, &job.event, delivering, score, hit_rate);
-                    }
-                }
-                // Explanations are computed once per test, after the
-                // result, and only when someone will read them.
-                let detail = (explain_ring || (reg.explain && delivering))
-                    .then(|| matcher.explain_match(&reg.subscription, &job.event, &result));
-                let match_span = route_span.map(|route| {
-                    shared.spans.record_new(
-                        Some(route),
-                        job.seq,
-                        "match",
-                        run.match_start,
-                        run.match_end,
-                        vec![
-                            ("subscription".to_string(), id.to_string()),
-                            (
-                                "temperature".to_string(),
-                                run.temperature.as_str().to_string(),
-                            ),
-                            ("score".to_string(), format!("{score}")),
-                        ],
-                    )
-                });
-                if delivering {
-                    let attached = reg.explain.then(|| {
-                        Box::new(explanation_for(
-                            shared,
-                            &job,
-                            id,
-                            reg,
-                            score,
-                            run.temperature,
-                            MatchOutcome::Delivered,
-                            detail.clone(),
-                        ))
-                    });
-                    let notification = Notification {
-                        subscription: id,
-                        event: Arc::clone(&job.event),
-                        result,
-                        explanation: attached,
-                    };
-                    // Stage 3 (deliver): match decision → channel hand-off.
-                    let admitted = deliver(shared, shard, id, reg, notification, &mut dead);
-                    if admitted {
-                        trace_notifications += 1;
-                    }
-                    let deliver_end = Instant::now();
-                    let deliver_ns = nanos_between(run.match_end, deliver_end);
-                    shard.stage.deliver.record_nanos(deliver_ns);
-                    if let Some(cost) = cost {
-                        cost_deliver_ns += deliver_ns;
-                        cost.charge_subscriber(
-                            id.0,
-                            nanos_between(run.match_start, run.match_end),
-                            deliver_ns,
-                        );
-                    }
-                    if let Some(parent) = match_span {
-                        shared.spans.record_new(
-                            Some(parent),
-                            job.seq,
-                            "deliver",
-                            run.match_end,
-                            deliver_end,
-                            vec![("admitted".to_string(), admitted.to_string())],
-                        );
-                    }
-                    if explain_ring {
-                        let outcome = if admitted {
-                            MatchOutcome::Delivered
-                        } else {
-                            MatchOutcome::DeliveryDropped
-                        };
-                        shared.explain.push(explanation_for(
-                            shared,
-                            &job,
-                            id,
-                            reg,
-                            score,
-                            run.temperature,
-                            outcome,
-                            detail,
-                        ));
-                    }
-                } else if explain_ring {
-                    let outcome = if mapped {
-                        MatchOutcome::BelowThreshold
-                    } else {
-                        MatchOutcome::NoMapping
-                    };
-                    shared.explain.push(explanation_for(
-                        shared,
-                        &job,
-                        id,
-                        reg,
-                        score,
-                        run.temperature,
-                        outcome,
-                        detail,
-                    ));
-                }
-            }
-            if let Some(cost) = cost {
-                flush_entry_cost(cost, &entry, &job, cost_match_ns, cost_deliver_ns);
-            }
-            continue;
-        }
-        // Aggregated sweep: one test per entry serves its whole fan-out.
         if covering {
             if scratch.is_pruned(&entry) {
                 // A covered subset entry missed; this entry cannot match.
@@ -885,58 +813,16 @@ fn process_event<M>(
                 continue;
             }
             if let Some(result) = scratch.take_twin_hit(&entry) {
-                // An equal-set twin hit; deliver its (already permuted)
-                // result to this entry's fan-out without a test.
+                // An equal-set twin hit; fan its (already permuted)
+                // result out to this entry's subscribers without a test.
                 shard.covered_skips.fetch_add(1, Ordering::Relaxed);
-                let score = result.score();
                 let twin_start = Instant::now();
-                let fan = entry.fanout();
-                for member in fan.iter() {
-                    let member_result = member.result_for(&result);
-                    let attached = member.reg.explain.then(|| {
-                        let d = matcher.explain_match(
-                            &member.reg.subscription,
-                            &job.event,
-                            &member_result,
-                        );
-                        Box::new(explanation_for(
-                            shared,
-                            &job,
-                            member.id,
-                            &member.reg,
-                            score,
-                            CacheTemperature::Exact,
-                            MatchOutcome::Delivered,
-                            Some(d),
-                        ))
-                    });
-                    let notification = Notification {
-                        subscription: member.id,
-                        event: Arc::clone(&job.event),
-                        result: member_result,
-                        explanation: attached,
-                    };
-                    let admitted = deliver(
-                        shared,
-                        shard,
-                        member.id,
-                        &member.reg,
-                        notification,
-                        &mut dead,
-                    );
-                    if admitted {
-                        trace_notifications += 1;
-                    }
-                    let deliver_end = Instant::now();
-                    let deliver_ns = nanos_between(twin_start, deliver_end);
-                    shard.stage.deliver.record_nanos(deliver_ns);
-                    if let Some(cost) = cost {
-                        cost_deliver_ns += deliver_ns;
-                        cost.charge_subscriber(member.id.0, 0, deliver_ns);
-                    }
-                }
+                let temperature = CacheTemperature::Exact;
+                let twin_cost = cost.map(|c| (c, 0));
+                let deliver_ns =
+                    sweep.fan_out(&entry, &result, temperature, twin_start, None, twin_cost);
                 if let Some(cost) = cost {
-                    flush_entry_cost(cost, &entry, &job, cost_match_ns, cost_deliver_ns);
+                    flush_entry_cost(cost, &entry, &job, 0, deliver_ns);
                 }
                 continue;
             }
@@ -950,61 +836,24 @@ fn process_event<M>(
             &job,
             degraded,
         );
-        trace_match_tests += run.tests_run;
+        match_tests += run.tests_run;
         match run.temperature {
             CacheTemperature::Exact => temp_exact += 1,
             CacheTemperature::ThematicCold => temp_thematic += 1,
             CacheTemperature::CacheWarm => temp_cached += 1,
         }
-        if cost.is_some() {
-            cost_match_ns += nanos_between(run.match_start, run.match_end);
-        }
-        let Some(result) = run.outcome else {
-            exhausted_attempts = exhausted_attempts.max(run.exhausted);
-            if let Some(route) = route_span {
-                let label = entry.fanout().first().map(|m| m.id.to_string());
-                shared.spans.record_new(
-                    Some(route),
-                    job.seq,
-                    "match",
-                    run.match_start,
-                    run.match_end,
-                    vec![
-                        (
-                            "subscription".to_string(),
-                            label.unwrap_or_else(|| "entry".to_string()),
-                        ),
-                        (
-                            "temperature".to_string(),
-                            run.temperature.as_str().to_string(),
-                        ),
-                        ("outcome".to_string(), "panicked".to_string()),
-                    ],
-                );
-            }
-            if let Some(cost) = cost {
-                flush_entry_cost(cost, &entry, &job, cost_match_ns, cost_deliver_ns);
-            }
-            continue;
-        };
-        let score = result.score();
-        let mapped = !result.is_empty();
-        let delivering = mapped && result.is_match(shared.config.delivery_threshold);
-        if covering {
-            if !mapped {
-                // Conjunctive matcher: a predicate unsupported here stays
-                // unsupported in every superset entry.
-                scratch.record_miss(&entry);
-            } else if delivering {
-                scratch.record_hit(&entry, &result);
-            }
-        }
+        // The same span the stage histogram records, so k=1 cost
+        // attribution reconciles exactly.
+        let match_ns = nanos_between(run.match_start, run.match_end);
         let match_span = route_span.map(|route| {
             let label = entry
                 .fanout()
                 .first()
-                .map(|m| m.id.to_string())
-                .unwrap_or_else(|| "entry".to_string());
+                .map_or_else(|| "entry".to_string(), |m| m.id.to_string());
+            let verdict = match &run.outcome {
+                Some(result) => ("score".to_string(), format!("{}", result.score())),
+                None => ("outcome".to_string(), "panicked".to_string()),
+            };
             shared.spans.record_new(
                 Some(route),
                 job.seq,
@@ -1017,75 +866,51 @@ fn process_event<M>(
                         "temperature".to_string(),
                         run.temperature.as_str().to_string(),
                     ),
-                    ("score".to_string(), format!("{score}")),
+                    verdict,
                 ],
             )
         });
-        if delivering {
-            let fan = entry.fanout();
-            for member in fan.iter() {
-                let member_result = member.result_for(&result);
-                let attached = member.reg.explain.then(|| {
-                    let d =
-                        matcher.explain_match(&member.reg.subscription, &job.event, &member_result);
-                    Box::new(explanation_for(
-                        shared,
-                        &job,
-                        member.id,
-                        &member.reg,
-                        score,
-                        run.temperature,
-                        MatchOutcome::Delivered,
-                        Some(d),
-                    ))
-                });
-                let notification = Notification {
-                    subscription: member.id,
-                    event: Arc::clone(&job.event),
-                    result: member_result,
-                    explanation: attached,
-                };
-                // Stage 3 (deliver): match decision → channel hand-off.
-                let admitted = deliver(
-                    shared,
-                    shard,
-                    member.id,
-                    &member.reg,
-                    notification,
-                    &mut dead,
-                );
-                if admitted {
-                    trace_notifications += 1;
+        let deliver_ns = match &run.outcome {
+            Some(result) => {
+                if covering {
+                    if result.is_empty() {
+                        // Conjunctive matcher: a predicate unsupported
+                        // here stays unsupported in every superset entry.
+                        scratch.record_miss(&entry);
+                    } else if result.is_match(shared.config.delivery_threshold) {
+                        scratch.record_hit(&entry, result);
+                    }
                 }
-                let deliver_end = Instant::now();
-                let deliver_ns = nanos_between(run.match_end, deliver_end);
-                shard.stage.deliver.record_nanos(deliver_ns);
-                if let Some(cost) = cost {
-                    cost_deliver_ns += deliver_ns;
-                    // An aggregated test served the whole fan-out, so a
-                    // delivered member's match share is an even split.
-                    cost.charge_subscriber(
-                        member.id.0,
-                        cost_match_ns / fan.len().max(1) as u64,
-                        deliver_ns,
-                    );
-                }
-                if let Some(parent) = match_span {
-                    shared.spans.record_new(
-                        Some(parent),
-                        job.seq,
-                        "deliver",
-                        run.match_end,
-                        deliver_end,
-                        vec![("admitted".to_string(), admitted.to_string())],
-                    );
-                }
+                let cost = cost.map(|c| (c, match_ns));
+                sweep.fan_out(
+                    &entry,
+                    result,
+                    run.temperature,
+                    run.match_end,
+                    match_span,
+                    cost,
+                )
             }
-        }
+            None => {
+                exhausted_attempts = exhausted_attempts.max(run.exhausted);
+                if sweep.explain_ring {
+                    let reason = run.last_panic.as_deref().unwrap_or("unknown panic");
+                    for member in entry.fanout().iter() {
+                        let outcome = MatchOutcome::Panicked {
+                            reason: reason.to_string(),
+                        };
+                        let e = sweep.explanation(member, 0.0, run.temperature, outcome, None);
+                        shared.explain.push(e);
+                    }
+                }
+                0
+            }
+        };
         if let Some(cost) = cost {
-            flush_entry_cost(cost, &entry, &job, cost_match_ns, cost_deliver_ns);
+            flush_entry_cost(cost, &entry, &job, match_ns, deliver_ns);
         }
     }
+    let dead = sweep.dead;
     if !dead.is_empty() {
         let mut reaped: Vec<(SubscriptionId, Arc<Registration>)> = Vec::new();
         {
@@ -1107,8 +932,7 @@ fn process_event<M>(
             (shared.hooks.release)(&reg.subscription);
         }
     }
-    let quarantined = exhausted_attempts > 0;
-    if quarantined {
+    if exhausted_attempts > 0 {
         quarantine(
             shared,
             Arc::clone(&job.event),
@@ -1135,7 +959,7 @@ fn process_event<M>(
     // attribution, temperature counts, and term frequencies. Disabled
     // cost is the single branch on `dim`.
     if let Some(dim) = &shared.dim {
-        let tests = trace_match_tests as u64;
+        let tests = match_tests as u64;
         for tag in job.event.theme_tags() {
             if tests > 0 {
                 dim.match_by_theme.add(tag, tests);
@@ -1156,16 +980,6 @@ fn process_event<M>(
             dim.match_by_temp.add("cached", temp_cached);
         }
     }
-    if shared.trace.is_enabled() {
-        shared.trace.push(EventTrace {
-            seq: job.seq,
-            candidates: trace_candidates,
-            routing_skipped: trace_skipped,
-            match_tests: trace_match_tests,
-            notifications: trace_notifications,
-            quarantined,
-        });
-    }
 }
 
 /// Flushes one sampled dispatch's measured nanoseconds into the cost
@@ -1173,7 +987,7 @@ fn process_event<M>(
 /// recycling), each of the event's theme tags (the full cost, mirroring
 /// `match_by_theme` semantics), and the global sampled totals the
 /// reconciliation invariant checks. Subscriber shares were already
-/// charged at the delivery sites, where per-member timings exist.
+/// charged by the fan-out, where per-member deliver timings exist.
 /// Allocation-free in steady state: labels were preformatted at
 /// subscribe time and theme counters hit the family's read path.
 fn flush_entry_cost(

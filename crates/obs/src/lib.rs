@@ -15,7 +15,7 @@
 //!   histogram snapshots rendering both the Prometheus text exposition
 //!   format and a JSON document;
 //! * [`TraceRing`] — a bounded MPMC ring buffer keeping the last N
-//!   per-event traces for debugging routing decisions;
+//!   records (the broker's explanations and spans);
 //! * [`SpanCollector`] / [`SpanRecord`] / [`span_tree`] — causal
 //!   parent/child spans with deterministic 1-in-k sampling, so one
 //!   event's publish → route → match → deliver journey reconstructs as

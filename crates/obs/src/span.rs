@@ -1,6 +1,6 @@
 //! Causal spans: parent/child timing records keyed by event sequence.
 //!
-//! A [`SpanCollector`] turns the flat trace ring into a causal trace: each
+//! A [`SpanCollector`] turns a flat [`TraceRing`] into a causal trace: each
 //! recorded [`SpanRecord`] carries its parent's id, so one event's journey
 //! (publish → route → N match tests → M deliveries → quarantine)
 //! reconstructs as a tree with [`span_tree`]. Sampling is deterministic —
@@ -37,7 +37,7 @@ pub struct SpanRecord {
 /// Collects sampled [`SpanRecord`]s into a bounded ring.
 ///
 /// Thread-safe: ids come from an atomic counter and the ring is the same
-/// mutexed deque the event traces use. Disabled collectors (capacity 0
+/// mutexed deque the explanation ring uses. Disabled collectors (capacity 0
 /// or `sample_every` 0) never record and never allocate.
 #[derive(Debug)]
 pub struct SpanCollector {

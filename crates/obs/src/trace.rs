@@ -1,4 +1,4 @@
-//! A bounded ring buffer for per-event traces.
+//! A bounded ring buffer for diagnostic records.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

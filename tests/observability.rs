@@ -1,6 +1,6 @@
 //! Integration tests for the pipeline observability layer: stage latency
-//! histograms, the metrics registry export, the per-event trace ring,
-//! match explanations, causal span trees, and the scrape endpoints.
+//! histograms, the metrics registry export, match explanations, causal
+//! span trees, and the scrape endpoints.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -8,6 +8,15 @@ use tep::prelude::*;
 
 fn exact_broker(config: BrokerConfig) -> Broker {
     Broker::start(Arc::new(ExactMatcher::new()), config)
+}
+
+/// The value of a span's attribute, if it carries one.
+fn attr<'a>(node: &'a SpanNode, key: &str) -> Option<&'a str> {
+    node.record
+        .attrs
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
 }
 
 fn thematic_broker(config: BrokerConfig) -> Broker {
@@ -72,6 +81,10 @@ fn stage_latency_counts_reconcile_with_broker_counters() {
     // `rx` sees only the "wanted" fifth; the rest went to `_other`.
     assert_eq!(rx.try_iter().count(), 100);
     assert_eq!(stats.notifications, 500);
+    assert!(
+        b.spans().is_empty() && b.span_tree(0).is_empty(),
+        "no spans at the default sampling"
+    );
 
     // Percentiles are monotone and bounded by the recorded max.
     for h in [&stages.queue_wait, &stages.match_exact, &stages.deliver] {
@@ -170,116 +183,6 @@ fn metrics_export_prometheus_and_json() {
         json.matches(['{', '[']).count(),
         json.matches(['}', ']']).count()
     );
-    b.shutdown();
-}
-
-/// With theme routing and tracing enabled, a routed event's trace shows
-/// the candidate set after the skip, and the skip itself.
-#[test]
-fn trace_ring_records_routing_skips() {
-    let config = BrokerConfig::default()
-        .with_workers(1)
-        .with_routing_policy(RoutingPolicy::ThemeOverlap)
-        .with_trace_capacity(8);
-    let b = exact_broker(config);
-    let (_, power_rx) = b
-        .subscribe(parse_subscription("({power}, {k= v})").unwrap())
-        .unwrap();
-    let (_, _transport_rx) = b
-        .subscribe(parse_subscription("({transport}, {k= v})").unwrap())
-        .unwrap();
-
-    b.publish(parse_event("({power}, {k: v})").unwrap())
-        .unwrap();
-    b.flush().unwrap();
-    let traces = b.traces();
-    assert_eq!(traces.len(), 1);
-    let t = &traces[0];
-    assert_eq!(t.seq, 0);
-    assert_eq!(t.candidates, 1, "only the power subscription is tested");
-    assert_eq!(
-        t.routing_skipped, 1,
-        "the transport subscription is skipped"
-    );
-    assert_eq!(t.match_tests, 1);
-    assert_eq!(t.notifications, 1);
-    assert!(!t.quarantined);
-    assert_eq!(power_rx.try_iter().count(), 1);
-
-    // The ring is bounded: flooding it keeps only the newest entries.
-    for i in 0..20 {
-        b.publish(parse_event(&format!("({{power}}, {{k: v, i: n{i}}})")).unwrap())
-            .unwrap();
-    }
-    b.flush().unwrap();
-    let traces = b.traces();
-    assert_eq!(traces.len(), 8, "ring truncates to its capacity");
-    assert_eq!(
-        traces.last().unwrap().seq,
-        20,
-        "the newest event's trace survives"
-    );
-    b.shutdown();
-}
-
-/// Tracing is opt-in: with the default capacity of 0 the ring stays
-/// empty no matter how much traffic flows.
-#[test]
-fn tracing_disabled_by_default() {
-    let b = exact_broker(BrokerConfig::default().with_workers(1));
-    let (_, _rx) = b.subscribe(parse_subscription("{k= v}").unwrap()).unwrap();
-    for i in 0..16 {
-        b.publish(parse_event(&format!("{{k: v, i: n{i}}}")).unwrap())
-            .unwrap();
-    }
-    b.flush().unwrap();
-    assert!(b.traces().is_empty());
-    // The stage histograms still record.
-    assert_eq!(b.stage_latencies().queue_wait.count(), 16);
-    b.shutdown();
-}
-
-/// A quarantined event's trace is flagged, with its retried match tests
-/// counted.
-#[test]
-fn trace_flags_quarantined_events() {
-    /// Panics on every `k: boom` event.
-    #[derive(Debug)]
-    struct BoomMatcher;
-    impl Matcher for BoomMatcher {
-        fn match_event(&self, subscription: &Subscription, event: &Event) -> MatchResult {
-            if event.value_of("k") == Some("boom") {
-                panic!("injected observability fault");
-            }
-            ExactMatcher::new().match_event(subscription, event)
-        }
-    }
-    // Silence the injected panic in test output.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|m| m.contains("injected observability fault"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
-
-    let config = BrokerConfig::default()
-        .with_workers(1)
-        .with_max_match_attempts(2)
-        .with_trace_capacity(4);
-    let b = Broker::start(Arc::new(BoomMatcher), config);
-    let (_, _rx) = b.subscribe(parse_subscription("{k= ok}").unwrap()).unwrap();
-    b.publish(parse_event("{k: boom}").unwrap()).unwrap();
-    b.flush_timeout(Duration::from_secs(10)).unwrap();
-    let traces = b.traces();
-    assert_eq!(traces.len(), 1);
-    assert!(traces[0].quarantined);
-    assert_eq!(traces[0].match_tests, 2, "both retry attempts are counted");
-    assert_eq!(traces[0].notifications, 0);
-    let _ = std::panic::take_hook();
     b.shutdown();
 }
 
@@ -412,17 +315,25 @@ fn subscribe_with_attaches_explanations_only_when_opted_in() {
 }
 
 /// A sampled event's journey reconstructs as a causal tree:
-/// publish → route → match → deliver.
+/// publish → route → match → deliver. Under theme routing the route span
+/// records the candidate set and the skip.
 #[test]
 fn span_tree_reconstructs_an_event_journey() {
     let b = exact_broker(
         BrokerConfig::default()
             .with_workers(1)
+            .with_routing_policy(RoutingPolicy::ThemeOverlap)
             .with_span_sampling(1)
             .with_span_capacity(64),
     );
-    let (_, _rx) = b.subscribe(parse_subscription("{k= v}").unwrap()).unwrap();
-    b.publish(parse_event("{k: v}").unwrap()).unwrap();
+    let (_, power_rx) = b
+        .subscribe(parse_subscription("({power}, {k= v})").unwrap())
+        .unwrap();
+    let (_, _transport_rx) = b
+        .subscribe(parse_subscription("({transport}, {k= v})").unwrap())
+        .unwrap();
+    b.publish(parse_event("({power}, {k: v})").unwrap())
+        .unwrap();
     b.flush().unwrap();
 
     let tree = b.span_tree(0);
@@ -434,13 +345,28 @@ fn span_tree_reconstructs_an_event_journey() {
     assert_eq!(publish.children.len(), 1);
     let route = &publish.children[0];
     assert_eq!(route.record.name, "route");
-    let match_span = route
-        .children
-        .iter()
-        .find(|n| n.record.name == "match")
-        .expect("the match test is spanned");
+    assert_eq!(
+        attr(route, "candidates"),
+        Some("1"),
+        "only the power subscription is tested"
+    );
+    assert_eq!(
+        attr(route, "routing_skipped"),
+        Some("1"),
+        "the transport subscription is skipped"
+    );
+    assert_eq!(route.children.len(), 1, "one match span, no quarantine");
+    let match_span = &route.children[0];
+    assert_eq!(match_span.record.name, "match");
     assert_eq!(match_span.children.len(), 1);
     assert_eq!(match_span.children[0].record.name, "deliver");
+    assert_eq!(attr(&match_span.children[0], "admitted"), Some("true"));
+    let stats = b.stats();
+    assert_eq!(stats.match_tests, 1);
+    assert_eq!(stats.routing_skipped, 1);
+    assert_eq!(stats.notifications, 1);
+    assert_eq!(stats.quarantined, 0);
+    assert_eq!(power_rx.try_iter().count(), 1);
     b.shutdown();
 }
 
@@ -530,7 +456,10 @@ fn quarantined_explanations_carry_the_panic_reason() {
         "a panicked test has no result to explain"
     );
     assert!(!e.is_accepted());
-    assert_eq!(b.stats().match_tests, 2, "both attempts were counted");
+    let stats = b.stats();
+    assert_eq!(stats.match_tests, 2, "both attempts were counted");
+    assert_eq!(stats.quarantined, 1);
+    assert_eq!(stats.notifications, 0);
 
     fn names<'a>(nodes: &'a [SpanNode], out: &mut Vec<&'a str>) {
         for n in nodes {
@@ -547,9 +476,17 @@ fn quarantined_explanations_carry_the_panic_reason() {
         1,
         "one match span covers the whole retry budget"
     );
-    assert!(
-        all.contains(&"quarantine"),
-        "the dead-letter move is spanned"
+    assert!(!all.contains(&"deliver"), "nothing was delivered");
+    let route = &tree[0].children[0];
+    let quarantine = route
+        .children
+        .iter()
+        .find(|n| n.record.name == "quarantine")
+        .expect("the dead-letter move is spanned");
+    assert_eq!(
+        attr(quarantine, "attempts"),
+        Some("2"),
+        "the whole retry budget was spent"
     );
     let _ = std::panic::take_hook();
     b.shutdown();
@@ -625,6 +562,65 @@ fn explanation_counts_reconcile_with_match_counters() {
         stats.match_tests,
         "shed events leave no explanation"
     );
+    b.shutdown();
+}
+
+/// Duplicate subscriptions share one index entry, so one match test
+/// serves both even with the explain ring and the quality sampler
+/// installed. The fan-out still leaves one explanation and one quality
+/// sample per subscriber, and each notification (and explanation) maps
+/// predicates in that subscriber's own declaration order.
+#[test]
+fn diagnostics_keep_duplicate_subscribers_on_one_test() {
+    /// Judges every pair relevant.
+    struct AlwaysRelevant;
+    impl QualityOracle for AlwaysRelevant {
+        fn judge(&self, _s: &Subscription, _e: &Event) -> Option<bool> {
+            Some(true)
+        }
+    }
+    let config = BrokerConfig::default()
+        .with_workers(1)
+        .with_explain_capacity(16);
+    let b = exact_broker(config).with_quality_sampling(1, Box::new(AlwaysRelevant));
+    let ab = parse_subscription("{a= x, b= y}").unwrap();
+    let ba = parse_subscription("{b= y, a= x}").unwrap();
+    let (ab_id, ab_rx) = b.subscribe(ab.clone()).unwrap();
+    let (ba_id, ba_rx) = b.subscribe(ba.clone()).unwrap();
+    b.publish(parse_event("{b: y, a: x}").unwrap()).unwrap();
+    b.flush().unwrap();
+
+    assert_eq!(b.stats().match_tests, 1, "one test serves both duplicates");
+    assert_eq!(b.stats().notifications, 2);
+    let quality = b.quality().expect("oracle installed");
+    assert_eq!(quality.judged(), 2, "one quality sample per subscriber");
+    assert_eq!(quality.true_positives, 2);
+    let explanations = b.explain_last(16);
+    assert_eq!(explanations.len(), 2, "one explanation per subscriber");
+    for (id, sub, rx) in [(ab_id, &ab, &ab_rx), (ba_id, &ba, &ba_rx)] {
+        let n = rx.try_recv().expect("both duplicates are notified");
+        let mapping = n.result.best().expect("a delivered result maps");
+        assert_eq!(mapping.correspondences().len(), 2);
+        for c in mapping.correspondences() {
+            let p = &sub.predicates()[c.predicate];
+            let t = &n.event.tuples()[c.tuple];
+            assert_eq!(
+                (p.attribute(), p.value()),
+                (t.attribute(), t.value()),
+                "correspondences follow this subscriber's predicate order"
+            );
+        }
+        let e = explanations
+            .iter()
+            .find(|e| e.subscription == id)
+            .expect("each subscriber is explained");
+        assert_eq!(e.outcome, MatchOutcome::Delivered);
+        let detail = e.detail.as_ref().expect("ring explanations carry detail");
+        for p in &detail.predicates {
+            assert_eq!(p.attribute, sub.predicates()[p.predicate].attribute());
+            assert_eq!(p.tuple_attribute.as_deref(), Some(p.attribute.as_str()));
+        }
+    }
     b.shutdown();
 }
 

@@ -3,7 +3,9 @@
 //! table must deliver exactly the notification set of brute-force
 //! dispatch applying the same theme-overlap gate — routing may skip work,
 //! never a match. Theme-less subscriptions opt out of routing and must
-//! stay broadcast.
+//! stay broadcast. The aggregation property also runs with the explain
+//! ring and the quality sampler installed, which turn covering off and
+//! must see every tested (event, candidate subscriber) pair.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -45,6 +47,25 @@ fn pair_set(min: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
             }
             v
         })
+}
+
+/// Whether exact conjunctive matching accepts the pair: every predicate
+/// pair is present among the event tuples.
+fn exact_match(s: &Subscription, e: &Event) -> bool {
+    s.predicates().iter().all(|p| {
+        e.tuples()
+            .iter()
+            .any(|t| t.attribute() == p.attribute() && t.value() == p.value())
+    })
+}
+
+/// Ground truth for the quality sampler: exact conjunctive matching.
+struct ExactOracle;
+
+impl QualityOracle for ExactOracle {
+    fn judge(&self, s: &Subscription, e: &Event) -> Option<bool> {
+        Some(exact_match(s, e))
+    }
 }
 
 proptest! {
@@ -118,19 +139,26 @@ proptest! {
     /// so duplicate subscriptions, permuted predicate orders, and
     /// exact-subset (covering) pairs all occur constantly — and checks
     /// index dispatch against brute force over all pairs under both
-    /// routing policies.
+    /// routing policies, with and without the diagnostic side-channels.
     #[test]
     fn index_dispatch_equals_brute_force_over_duplicates_and_subsets(
         sub_specs in proptest::collection::vec((tag_set(), pair_set(1)), 1..12),
         event_specs in proptest::collection::vec((tag_set(), pair_set(0)), 1..8),
     ) {
-        for policy in [RoutingPolicy::Broadcast, RoutingPolicy::ThemeOverlap] {
-            let broker = Broker::start(
-                Arc::new(ExactMatcher::new()),
-                BrokerConfig::default()
-                    .with_workers(1)
-                    .with_routing_policy(policy),
-            );
+        let policies = [RoutingPolicy::Broadcast, RoutingPolicy::ThemeOverlap];
+        for (policy, diagnostic) in policies.into_iter().flat_map(|p| [(p, false), (p, true)]) {
+            let config = BrokerConfig::default()
+                .with_workers(1)
+                .with_routing_policy(policy);
+            let broker = if diagnostic {
+                Broker::start(
+                    Arc::new(ExactMatcher::new()),
+                    config.with_explain_capacity(1024),
+                )
+                .with_quality_sampling(1, Box::new(ExactOracle))
+            } else {
+                Broker::start(Arc::new(ExactMatcher::new()), config)
+            };
             let mut subs = Vec::new();
             for (tags, preds) in &sub_specs {
                 let mut b = Subscription::builder().theme_tags(tags.iter().map(String::as_str));
@@ -156,8 +184,8 @@ proptest! {
             broker.flush().unwrap();
 
             // Brute force over all pairs: the routing gate (policy-
-            // dependent), then exact conjunctive matching — every
-            // predicate pair present among the event tuples.
+            // dependent), then exact conjunctive matching.
+            let mut routed_pairs = BTreeSet::new();
             let mut expected = BTreeSet::new();
             for (id, s, _) in &subs {
                 for (i, e) in events.iter().enumerate() {
@@ -167,13 +195,11 @@ proptest! {
                             s.theme_tags().is_empty() || s.shares_theme_with(e)
                         }
                     };
-                    let matched = s.predicates().iter().all(|p| {
-                        e.tuples()
-                            .iter()
-                            .any(|t| t.attribute() == p.attribute() && t.value() == p.value())
-                    });
-                    if routed && matched {
-                        expected.insert((id.0, i));
+                    if routed {
+                        routed_pairs.insert((id.0, i as u64));
+                        if exact_match(s, e) {
+                            expected.insert((id.0, i));
+                        }
                     }
                 }
             }
@@ -218,6 +244,23 @@ proptest! {
             prop_assert!(stats.index_entries <= sub_specs.len() as u64);
             prop_assert!(stats.distinct_subscriptions <= sub_specs.len() as u64);
             prop_assert!(stats.index_entries >= stats.distinct_subscriptions);
+
+            // With diagnostics on, covering is off and every routed pair
+            // is tested: exactly one explanation and one quality sample
+            // each, with the live decisions agreeing with ground truth.
+            if diagnostic {
+                let explained: Vec<(u64, u64)> = broker
+                    .explain_last(1024)
+                    .iter()
+                    .map(|e| (e.subscription.0, e.seq))
+                    .collect();
+                prop_assert_eq!(explained.len(), routed_pairs.len());
+                prop_assert_eq!(&explained.into_iter().collect::<BTreeSet<_>>(), &routed_pairs);
+                let quality = broker.quality().expect("oracle installed");
+                prop_assert_eq!(quality.judged(), routed_pairs.len() as u64);
+                prop_assert_eq!(quality.false_positives + quality.false_negatives, 0);
+                prop_assert_eq!(stats.covered_skips, 0);
+            }
             broker.shutdown();
         }
     }
