@@ -18,6 +18,16 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> cargo test --release -p tep-semantics"
+# The relatedness kernels are float code; run their bit-identity and
+# tolerance tests under release optimisation as well.
+cargo test --release -p tep-semantics --offline -q
+
+echo "==> benchmark tests (benchmark/Cargo.toml)"
+# The benchmark is a workspace of its own; its tests include the traced
+# vs untraced equivalence on every workload.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> chaos seed matrix"
 # The chaos suite precomputes exact expectations from the fault seed, so
 # any seed must pass; sweep a few beyond the defaults.

@@ -5,7 +5,8 @@
 //! * **caching** — the memoized vs uncached thematic measure (the paper's
 //!   §5.3.2 "caching" optimization opportunity);
 //! * **raw vs normalized** distance (DESIGN.md §5: Eq. 5 verbatim vs the
-//!   unit-norm variant the measure uses).
+//!   unit-norm variant the measure uses), and the dense-row Gram kernel
+//!   the thematic hot path scores normalized pairs with (DESIGN.md §10).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
@@ -95,6 +96,14 @@ fn bench_ablation(c: &mut Criterion) {
     let nb = vb.normalized();
     group.bench_function("raw_eq5", |b| b.iter(|| va.euclidean_distance(&vb)));
     group.bench_function("normalized", |b| b.iter(|| na.euclidean_distance(&nb)));
+    // The subscription side scattered once into a dense row (a slot hit),
+    // the event side gathered per call.
+    let mut row = vec![0.0f32; stack.space().index().num_docs()];
+    na.scatter(&mut row);
+    let na_norm_squared = na.norm_squared();
+    group.bench_function("row_gram", |b| {
+        b.iter(|| nb.gram_distance_to_row(&row, na_norm_squared))
+    });
     group.finish();
 }
 

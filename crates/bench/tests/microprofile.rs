@@ -104,8 +104,8 @@ fn thematic_match_cost_breakdown() {
     {
         use tep::semantics::SemanticMeasure;
         let measure = matcher.measure();
-        let ths = theme_for_tags(subs[0].theme_tags()).0;
-        let the = theme_for_tags(events[0].theme_tags()).0;
+        let ths = theme_for_tags(subs[0].theme_tags());
+        let the = theme_for_tags(events[0].theme_tags());
         let pred_ids: Vec<_> = pred_terms.iter().map(|t| intern_term(t)).collect();
         let tuple_ids: Vec<_> = tuple_terms.iter().map(|t| intern_term(t)).collect();
         let probes = pred_ids.len() * tuple_ids.len();
@@ -128,6 +128,52 @@ fn thematic_match_cost_breakdown() {
             "relatedness_ids   {:>8.0} ns/call   ({} probes, acc={acc:.1})",
             rel.as_nanos() as f64 / (probes * 4) as f64,
             probes * 4
+        );
+    }
+
+    {
+        // Per-pair kernel cost over the same probe set: the sorted Eq. 5
+        // merge against the dense-row Gram gather the PVSM hot path runs
+        // (one scatter per subscription term, as a slot miss pays).
+        let pvsm = stack.pvsm();
+        let ths = theme_for_tags(subs[0].theme_tags());
+        let the = theme_for_tags(events[0].theme_tags());
+        let project = |terms: &std::collections::HashSet<String>, theme| {
+            terms
+                .iter()
+                .map(|t| pvsm.project_normalized_ids(intern_term(t), theme))
+                .filter(|v| !v.is_zero())
+                .collect::<Vec<_>>()
+        };
+        let (pred_vecs, tuple_vecs) = (project(&pred_terms, ths), project(&tuple_terms, the));
+        let pairs = (pred_vecs.len() * tuple_vecs.len()).max(1) * 4;
+        let start = Instant::now();
+        let mut acc = 0.0;
+        for _ in 0..4 {
+            for vs in &pred_vecs {
+                for ve in &tuple_vecs {
+                    acc += vs.euclidean_distance(ve);
+                }
+            }
+        }
+        let merge = start.elapsed();
+        let mut row = vec![0.0f32; pvsm.space().index().num_docs()];
+        let start = Instant::now();
+        for _ in 0..4 {
+            for vs in &pred_vecs {
+                vs.scatter(&mut row);
+                let norm_squared = vs.norm_squared();
+                for ve in &tuple_vecs {
+                    acc += ve.gram_distance_to_row(&row, norm_squared);
+                }
+                vs.unscatter(&mut row);
+            }
+        }
+        let gather = start.elapsed();
+        println!(
+            "kernel merge/row  {:>5.0} / {:<5.0} ns/pair ({pairs} pairs, acc={acc:.1})",
+            merge.as_nanos() as f64 / pairs as f64,
+            gather.as_nanos() as f64 / pairs as f64,
         );
     }
 

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use tep_events::{ComparisonOp, Event, Subscription};
-use tep_semantics::{theme_for_tags, CacheStats, SemanticMeasure, Theme};
+use tep_semantics::{resolve_theme, theme_for_tags, CacheStats, SemanticMeasure, Theme};
 
 thread_local! {
     /// Per-worker similarity/cost matrix scratch, recycled across match
@@ -402,8 +402,8 @@ impl<M: SemanticMeasure> Matcher for ProbabilisticMatcher<M> {
         // rows the pruned hot-path build skipped, so rejections explain
         // every predicate too.
         let matrix = self.similarity_matrix(subscription, event);
-        let (_, ths) = theme_for_tags(subscription.theme_tags());
-        let (_, the) = theme_for_tags(event.theme_tags());
+        let ths = resolve_theme(theme_for_tags(subscription.theme_tags()));
+        let the = resolve_theme(theme_for_tags(event.theme_tags()));
         let (ths, the) = (ths.as_ref(), the.as_ref());
         let best = result.best();
         let predicates = subscription
@@ -453,14 +453,14 @@ impl<M: SemanticMeasure> Matcher for ProbabilisticMatcher<M> {
     }
 
     fn prepare_subscription(&self, subscription: &Subscription) {
-        let (_, theme) = theme_for_tags(subscription.theme_tags());
+        let theme = resolve_theme(theme_for_tags(subscription.theme_tags()));
         for_each_approx_term(subscription, |term| {
             self.measure.prepare_term(term, &theme);
         });
     }
 
     fn release_subscription(&self, subscription: &Subscription) {
-        let (_, theme) = theme_for_tags(subscription.theme_tags());
+        let theme = resolve_theme(theme_for_tags(subscription.theme_tags()));
         for_each_approx_term(subscription, |term| {
             self.measure.release_term(term, &theme);
         });

@@ -173,16 +173,16 @@ pub fn resolve_theme(id: ThemeId) -> Arc<Theme> {
 /// This is the matcher's per-call entry point: the old hot path ran
 /// `Theme::new(tags)` — normalize, sort, dedup, hash, allocate — for both
 /// sides of *every* `match_event`. With the front cache a repeat tag list
-/// costs one read-lock probe.
-pub fn theme_for_tags(tags: &[String]) -> (ThemeId, Arc<Theme>) {
+/// costs one read-lock probe. Callers that need the canonical theme
+/// itself follow up with [`resolve_theme`].
+pub fn theme_for_tags(tags: &[String]) -> ThemeId {
     let it = interner();
     if let Some(&id) = it.tags_front.read().get(tags) {
-        return (ThemeId(id), resolve_theme(ThemeId(id)));
+        return ThemeId(id);
     }
-    let theme = Theme::new(tags);
-    let id = intern_theme(&theme);
+    let id = intern_theme(&Theme::new(tags));
     it.tags_front.write().insert(tags.to_vec(), id.0);
-    (id, resolve_theme(id))
+    id
 }
 
 /// Number of interned terms and themes, for diagnostics: `(terms, themes)`.
@@ -235,13 +235,13 @@ mod tests {
     #[test]
     fn tags_front_cache_matches_canonical_interning() {
         let tags = vec!["Air Quality".to_string(), "ozone".to_string()];
-        let (id1, theme1) = theme_for_tags(&tags);
-        let (id2, theme2) = theme_for_tags(&tags);
+        let id1 = theme_for_tags(&tags);
+        let id2 = theme_for_tags(&tags);
         assert_eq!(id1, id2);
-        assert!(Arc::ptr_eq(&theme1, &theme2));
+        assert!(Arc::ptr_eq(&resolve_theme(id1), &resolve_theme(id2)));
         // A different spelling of the same set resolves to the same id.
         let respelled = vec!["ozone".to_string(), "air quality".to_string()];
-        let (id3, _) = theme_for_tags(&respelled);
+        let id3 = theme_for_tags(&respelled);
         assert_eq!(id1, id3);
         assert_eq!(id1, intern_theme(&Theme::new(["ozone", "air quality"])));
     }
@@ -275,8 +275,7 @@ mod tests {
                         // Also exercise the front cache concurrently.
                         .into_iter()
                         .chain(
-                            (0..4)
-                                .map(|i| theme_for_tags(&[format!("front tag {}", (t + i) % 4)]).0),
+                            (0..4).map(|i| theme_for_tags(&[format!("front tag {}", (t + i) % 4)])),
                         )
                         .collect::<Vec<_>>()
                 })

@@ -239,7 +239,7 @@ impl SemanticMeasure for EsaMeasure {
         if term_s == term_e {
             detail.score = 1.0;
         } else if !vs.is_zero() && !ve.is_zero() {
-            let d = vs.euclidean_distance(&ve);
+            let d = vs.gram_distance(&ve);
             detail.distance = Some(d);
             detail.score = crate::space::relatedness_from_distance(d);
         }

@@ -7,6 +7,8 @@ use crate::shard::{CacheStats, ShardedCache};
 use crate::space::{relatedness_from_distance, DistributionalSpace};
 use crate::sparse::SparseVector;
 use crate::theme::Theme;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Shard count for the PVSM caches; high enough that 2–8 broker workers
@@ -16,6 +18,78 @@ const SHARDS: usize = 16;
 const BASIS_CAPACITY: usize = 4_096;
 /// Bound on cached projections per table (raw and normalized).
 const PROJECTION_CAPACITY: usize = 1 << 17;
+
+/// Source of [`ParametricVectorSpace`] instance ids, the first part of a
+/// dense-row key. Ids are never reused, so a PVSM allocated at a dropped
+/// one's address can never answer from the old instance's rows.
+static NEXT_PVSM_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Key of a dense row: (PVSM instance, subscription term, its theme).
+type RowKey = (u64, TermId, ThemeId);
+
+/// One dense `f32` row holding a subscription-side normalized projection,
+/// indexed by document id, so the event side is scored by one gather
+/// ([`SparseVector::gram_distance_to_row`]) instead of a sorted merge.
+#[derive(Debug)]
+struct RowSlot {
+    /// The projection the row holds; `None` while the row is being
+    /// rewritten, so a panic part way leaves no slot answering for a
+    /// stale key.
+    key: Option<RowKey>,
+    row: Vec<f32>,
+    /// The vector whose weights the row may hold, zeroed on the next load.
+    resident: Option<Arc<SparseVector>>,
+    /// `‖resident‖²`, in the same summation order as the merge path.
+    norm_squared: f64,
+}
+
+impl RowSlot {
+    const fn new() -> RowSlot {
+        RowSlot {
+            key: None,
+            row: Vec::new(),
+            resident: None,
+            norm_squared: 0.0,
+        }
+    }
+
+    /// Rewrites the row to hold `vector` under `key`. The key is cleared
+    /// first and set last; the incoming vector is recorded before its
+    /// scatter so the next load zeroes whatever part of it landed.
+    fn load(&mut self, key: RowKey, vector: Arc<SparseVector>, num_docs: usize) {
+        self.key = None;
+        if let Some(old) = self.resident.take() {
+            old.unscatter(&mut self.row);
+        }
+        if self.row.len() < num_docs {
+            self.row.resize(num_docs, 0.0);
+        }
+        let vector = self.resident.insert(vector);
+        vector.scatter(&mut self.row);
+        self.norm_squared = vector.norm_squared();
+        self.key = Some(key);
+    }
+}
+
+/// A worker's two dense rows. The similarity matrix probes a predicate
+/// row as alternating attribute and value probes against every tuple,
+/// so two slots keep both subscription terms resident for the whole row.
+#[derive(Debug)]
+struct RowCache {
+    slots: [RowSlot; 2],
+    /// The slot most recently used; a miss rewrites the other one.
+    last: usize,
+}
+
+thread_local! {
+    /// Per-worker dense rows: 2 × `num_docs` × 4 B per thread.
+    static SUBSCRIPTION_ROWS: RefCell<RowCache> = const {
+        RefCell::new(RowCache {
+            slots: [RowSlot::new(), RowSlot::new()],
+            last: 0,
+        })
+    };
+}
 
 /// Per-cache counter snapshot for the PVSM; see
 /// [`ParametricVectorSpace::cache_stats`].
@@ -54,6 +128,8 @@ impl PvsmCacheStats {
 /// broker worker threads.
 #[derive(Debug)]
 pub struct ParametricVectorSpace {
+    /// Instance id for the thread-local dense rows ([`NEXT_PVSM_ID`]).
+    id: u64,
     space: DistributionalSpace,
     basis_cache: ShardedCache<ThemeId, Arc<ThemeBasis>>,
     projection_cache: ShardedCache<(ThemeId, TermId), Arc<SparseVector>>,
@@ -65,6 +141,7 @@ impl ParametricVectorSpace {
     /// Wraps a distributional space.
     pub fn new(space: DistributionalSpace) -> ParametricVectorSpace {
         ParametricVectorSpace {
+            id: NEXT_PVSM_ID.fetch_add(1, Ordering::Relaxed),
             space,
             basis_cache: ShardedCache::new(SHARDS, BASIS_CAPACITY),
             projection_cache: ShardedCache::new(SHARDS, PROJECTION_CAPACITY),
@@ -189,12 +266,19 @@ impl ParametricVectorSpace {
         if vs.is_zero() || ve.is_zero() {
             return 0.0;
         }
-        relatedness_from_distance(vs.euclidean_distance(&ve))
+        relatedness_from_distance(vs.gram_distance(&ve))
     }
 
-    /// Interned-symbol variant of [`Self::relatedness`]. Term interning is
-    /// exact (no normalization), so `term_s == term_e` iff the ids are
-    /// equal — the float path is identical to the string variant.
+    /// Interned-symbol variant of [`Self::relatedness`], and the matcher's
+    /// hot path. Term interning is exact (no normalization), so
+    /// `term_s == term_e` iff the ids are equal.
+    ///
+    /// The subscription side lives in a per-worker dense row (two slots,
+    /// keyed by this instance, `term_s` and `theme_s`); on a slot hit its
+    /// cache lookup is skipped, and the event side is scored by one
+    /// gather that also sums `‖e‖²`. The gather's extra products against
+    /// zero row entries are exact no-ops, so the score is bit-identical
+    /// to the string variant's merge.
     pub fn relatedness_ids(
         &self,
         term_s: TermId,
@@ -205,12 +289,26 @@ impl ParametricVectorSpace {
         if term_s == term_e {
             return 1.0;
         }
-        let vs = self.project_normalized_ids(term_s, theme_s);
+        let key = (self.id, term_s, theme_s);
         let ve = self.project_normalized_ids(term_e, theme_e);
-        if vs.is_zero() || ve.is_zero() {
-            return 0.0;
-        }
-        relatedness_from_distance(vs.euclidean_distance(&ve))
+        SUBSCRIPTION_ROWS.with(|rows| {
+            let mut rows = rows.borrow_mut();
+            let index = match rows.slots.iter().position(|s| s.key == Some(key)) {
+                Some(index) => index,
+                None => {
+                    let index = 1 - rows.last;
+                    let vs = self.project_normalized_ids(term_s, theme_s);
+                    rows.slots[index].load(key, vs, self.space.index().num_docs());
+                    index
+                }
+            };
+            rows.last = index;
+            let slot = &rows.slots[index];
+            if slot.norm_squared == 0.0 || ve.is_zero() {
+                return 0.0;
+            }
+            relatedness_from_distance(ve.gram_distance_to_row(&slot.row, slot.norm_squared))
+        })
     }
 
     /// Cache-warm-only variant of [`Self::relatedness`]: answers **only**
@@ -241,7 +339,7 @@ impl ParametricVectorSpace {
         if vs.is_zero() || ve.is_zero() {
             return Some(0.0);
         }
-        Some(relatedness_from_distance(vs.euclidean_distance(&ve)))
+        Some(relatedness_from_distance(vs.gram_distance(&ve)))
     }
 
     /// [`Self::relatedness`] plus the evidence behind the score: the raw
@@ -273,7 +371,7 @@ impl ParametricVectorSpace {
         if term_s == term_e {
             detail.score = 1.0;
         } else if !vs.is_zero() && !ve.is_zero() {
-            let d = vs.euclidean_distance(&ve);
+            let d = vs.gram_distance(&ve);
             detail.distance = Some(d);
             detail.score = relatedness_from_distance(d);
         }
@@ -383,6 +481,86 @@ mod tests {
             "id path must be bit-identical"
         );
         assert_eq!(p.relatedness_ids(ts, ids, ts, ide), 1.0);
+    }
+
+    #[test]
+    fn dense_rows_are_keyed_by_instance_not_address() {
+        let th = Theme::new(["energy policy"]);
+        let (a, b) = ("energy consumption", "electricity usage");
+        let (ta, tb, thid) = (intern_term(a), intern_term(b), intern_theme(&th));
+        let mut scores = Vec::new();
+        // Same stack slot both rounds: the second PVSM may sit at the
+        // first one's address, with this thread's rows still loaded.
+        for seed in [7, 8] {
+            let corpus = Corpus::generate(&CorpusConfig::small().with_seed(seed));
+            let p =
+                ParametricVectorSpace::new(DistributionalSpace::new(InvertedIndex::build(&corpus)));
+            let via_ids = p.relatedness_ids(ta, thid, tb, thid);
+            assert_eq!(via_ids.to_bits(), p.relatedness(a, &th, b, &th).to_bits());
+            scores.push(via_ids);
+        }
+        assert_ne!(
+            scores[0], scores[1],
+            "the corpora must give different scores"
+        );
+    }
+
+    #[test]
+    fn a_panicking_row_rewrite_leaves_no_stale_slot() {
+        let p = pvsm();
+        let th = Theme::new(["energy policy"]);
+        let (a, b) = ("energy consumption", "electricity usage");
+        let (ta, tb, thid) = (intern_term(a), intern_term(b), intern_theme(&th));
+        let expected = p.relatedness(a, &th, b, &th);
+        assert_eq!(
+            p.relatedness_ids(ta, thid, tb, thid).to_bits(),
+            expected.to_bits()
+        );
+        let key = (p.id, ta, thid);
+        let num_docs = p.space().index().num_docs();
+        // Rewrite the slot holding `key` with a vector whose last entry
+        // lies past the row's end: the scatter panics after its first
+        // entry landed, as a matcher panic mid-probe would.
+        // Its landed entry sits where the event side has weight and the
+        // next subscription term has none, so a stale weight would show.
+        let ve = p.project_normalized(b, &th);
+        let (next, stale) = ["energy meter", "parking", "device", "rainfall", "bus"]
+            .into_iter()
+            .find_map(|t| {
+                let vt = p.project_normalized(t, &th);
+                let d = ve.support().find(|d| vt.get(*d) == 0.0);
+                (!vt.is_zero()).then_some(d).flatten().map(|d| (t, d))
+            })
+            .expect("a term missing part of b's support");
+        let bad = Arc::new(SparseVector::from_sorted(vec![
+            (stale, 0.5),
+            (tep_corpus::DocId(num_docs as u32 + 4_096), 0.5),
+        ]));
+        SUBSCRIPTION_ROWS.with(|rows| {
+            let mut rows = rows.borrow_mut();
+            let index = rows
+                .slots
+                .iter()
+                .position(|s| s.key == Some(key))
+                .expect("the probe loaded its subscription row");
+            let slot = &mut rows.slots[index];
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                slot.load(key, bad, num_docs)
+            }));
+            assert!(panicked.is_err());
+            assert_eq!(slot.key, None, "a half-written row answers for no key");
+        });
+        // The next probe reloads `key` into the other slot; the one after
+        // rewrites the half-written slot, which must come out clean.
+        assert_eq!(
+            p.relatedness_ids(ta, thid, tb, thid).to_bits(),
+            expected.to_bits()
+        );
+        assert_eq!(
+            p.relatedness_ids(intern_term(next), thid, tb, thid)
+                .to_bits(),
+            p.relatedness(next, &th, b, &th).to_bits()
+        );
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl DistributionalSpace {
         if va.is_zero() || vb.is_zero() {
             return 0.0;
         }
-        relatedness_from_distance(va.euclidean_distance(&vb))
+        relatedness_from_distance(va.gram_distance(&vb))
     }
 
     /// The memoized unit-norm vector of `term` (zero stays zero). This is

@@ -15,7 +15,9 @@ use tep_corpus::DocId;
 /// bytes per compared dimension of the old `Vec<(DocId, f32)>` pairs, and a
 /// shape `portable_simd` chunk kernels can consume directly. Every kernel
 /// preserves the exact accumulation order of the pair-based implementation,
-/// so scores are bit-identical.
+/// so scores are bit-identical. The one non-merge kernel,
+/// [`Self::gram_distance_to_row`], gathers against a dense row and gives
+/// the same bits as its merge form [`Self::gram_distance`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SparseVector {
     dims: Vec<DocId>,
@@ -229,6 +231,59 @@ impl SparseVector {
         acc.sqrt()
     }
 
+    /// The Eq. 6 distance from the Gram identity,
+    /// `d² = max(0, (‖a‖² + ‖b‖²) − 2·a·b)`: the form every relatedness
+    /// path uses. The dot product sums the intersection products in
+    /// ascending doc order, so the result is exactly symmetric; on unit
+    /// vectors it agrees with [`Self::euclidean_distance`] (Eq. 5) to
+    /// rounding, and identical vectors give exactly 0.
+    pub fn gram_distance(&self, other: &SparseVector) -> f64 {
+        gram_distance(self.norm_squared(), other.norm_squared(), self.dot(other))
+    }
+
+    /// Writes the weights into a dense row indexed by document id, the
+    /// row side of [`Self::gram_distance_to_row`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is shorter than the largest document id + 1.
+    pub fn scatter(&self, row: &mut [f32]) {
+        for (d, w) in self.iter() {
+            row[d.index()] = w;
+        }
+    }
+
+    /// Zeroes this vector's entries in a dense row written by
+    /// [`Self::scatter`]; entries beyond the row's end are skipped, so a
+    /// scatter that panicked part way can still be undone.
+    pub fn unscatter(&self, row: &mut [f32]) {
+        for d in self.support() {
+            if let Some(w) = row.get_mut(d.index()) {
+                *w = 0.0;
+            }
+        }
+    }
+
+    /// [`Self::gram_distance`] against a vector held in a dense row
+    /// ([`Self::scatter`]) with squared norm `row_norm_squared`: one pass
+    /// over `self` gathers `self · row` and sums `‖self‖²`. Both sums run
+    /// in ascending doc order, and the products against absent (zero) row
+    /// entries are exact no-ops, so the result is bit-identical to the
+    /// merge form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is shorter than the largest document id + 1.
+    pub fn gram_distance_to_row(&self, row: &[f32], row_norm_squared: f64) -> f64 {
+        let (mut dot, mut norm_squared) = (0.0f64, 0.0f64);
+        for (d, w) in self.iter() {
+            let w = w as f64;
+            dot += row[d.index()] as f64 * w;
+            norm_squared += w * w;
+        }
+        gram_distance(row_norm_squared, norm_squared, dot)
+    }
+
     /// Cosine similarity; 0 when either vector is zero.
     pub fn cosine(&self, other: &SparseVector) -> f64 {
         let denom = self.norm() * other.norm();
@@ -272,6 +327,19 @@ impl SparseVector {
     /// The documents of the vector's support, in ascending order.
     pub fn support(&self) -> impl Iterator<Item = DocId> + '_ {
         self.dims.iter().copied()
+    }
+}
+
+/// `sqrt(max(0, (‖a‖² + ‖b‖²) − 2·a·b))` from the Gram entries; see
+/// [`SparseVector::gram_distance`]. The clamp absorbs the rounding
+/// that can leave near-identical vectors a tiny negative square, and
+/// yields `+0.0` for a zero square of either sign.
+fn gram_distance(norm_squared_a: f64, norm_squared_b: f64, dot: f64) -> f64 {
+    let squared = (norm_squared_a + norm_squared_b) - 2.0 * dot;
+    if squared > 0.0 {
+        squared.sqrt()
+    } else {
+        0.0
     }
 }
 
@@ -613,5 +681,95 @@ mod tests {
             let rrestricted = ra.restrict_to(&docs);
             assert_eq!(pairs(&restricted), rrestricted.entries, "case {case}");
         }
+    }
+
+    /// The Gram distance through a dense row, the way the PVSM hot path
+    /// runs it: `a` scattered, `b` gathered.
+    fn gather_distance(a: &SparseVector, b: &SparseVector) -> f64 {
+        let mut row = vec![0.0f32; 64];
+        a.scatter(&mut row);
+        let d = b.gram_distance_to_row(&row, a.norm_squared());
+        a.unscatter(&mut row);
+        assert!(row.iter().all(|w| *w == 0.0), "unscatter restores the row");
+        d
+    }
+
+    fn reference_distance(a: &SparseVector, b: &SparseVector) -> f64 {
+        use reference::RefVector;
+        RefVector::from_unsorted(pairs(a)).euclidean_distance(&RefVector::from_unsorted(pairs(b)))
+    }
+
+    #[test]
+    fn property_gram_gather_equals_merge_is_symmetric_and_matches_eq5() {
+        let mut rng = Mix(0x6EA7_0E5D);
+        for case in 0..500 {
+            let a = SparseVector::from_unsorted(rng.vector(48, 64));
+            let b = SparseVector::from_unsorted(rng.vector(48, 64));
+            let merge = a.gram_distance(&b);
+            assert_eq!(
+                gather_distance(&a, &b).to_bits(),
+                merge.to_bits(),
+                "case {case}: gather vs merge"
+            );
+            assert_eq!(
+                b.gram_distance(&a).to_bits(),
+                merge.to_bits(),
+                "case {case}: symmetry"
+            );
+            assert_eq!(
+                gather_distance(&b, &a).to_bits(),
+                merge.to_bits(),
+                "case {case}: symmetry through the row"
+            );
+            let (na, nb) = (a.normalized(), b.normalized());
+            let gram = na.gram_distance(&nb);
+            let eq5 = reference_distance(&na, &nb);
+            assert!(
+                (gram - eq5).abs() < 1e-12,
+                "case {case}: gram {gram} vs Eq. 5 {eq5}"
+            );
+        }
+    }
+
+    #[test]
+    fn gram_distance_edge_cases() {
+        let a = v(&[(1, 3.0), (4, 4.0), (9, 1.5)]).normalized();
+        // Identical vectors clamp to exactly zero, through either form.
+        assert_eq!(a.gram_distance(&a), 0.0);
+        assert_eq!(gather_distance(&a, &a), 0.0);
+        // Disjoint supports: d² = ‖a‖² + ‖b‖², so √2 for unit vectors.
+        let b = v(&[(2, 1.0), (7, 2.0)]).normalized();
+        let d = a.gram_distance(&b);
+        assert_eq!(d.to_bits(), gather_distance(&a, &b).to_bits());
+        assert!((d - reference_distance(&a, &b)).abs() < 1e-12);
+        assert!((d - 2f64.sqrt()).abs() < 1e-6);
+        // One-entry vectors, on the same and on different documents.
+        let (x, y, z) = (v(&[(5, 0.6)]), v(&[(5, 0.8)]), v(&[(6, 0.8)]));
+        for (p, q) in [(&x, &y), (&x, &z), (&y, &z)] {
+            let d = p.gram_distance(q);
+            assert_eq!(d.to_bits(), q.gram_distance(p).to_bits());
+            assert_eq!(d.to_bits(), gather_distance(p, q).to_bits());
+            assert!((d - reference_distance(p, q)).abs() < 1e-12);
+        }
+        // The zero vector is at distance ‖a‖.
+        let zero = SparseVector::zero();
+        assert_eq!(
+            zero.gram_distance(&a).to_bits(),
+            a.gram_distance(&zero).to_bits()
+        );
+        assert!((zero.gram_distance(&a) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn scatter_past_the_row_end_panics_and_unscatter_still_clears() {
+        let a = v(&[(1, 1.0), (3, 2.0), (70, 3.0)]);
+        let mut row = vec![0.0f32; 64];
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            a.scatter(&mut row);
+        }));
+        assert!(panicked.is_err());
+        assert_eq!((row[1], row[3]), (1.0, 2.0), "the in-range prefix landed");
+        a.unscatter(&mut row);
+        assert!(row.iter().all(|w| *w == 0.0));
     }
 }
